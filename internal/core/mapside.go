@@ -33,17 +33,7 @@ func runMapTask(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *engine
 	out := engine.NewMapOutput(p, store,
 		fmt.Sprintf("%s/hashmap-%05d/file.out", job.Name, b.Index),
 		b.Index, node.ID, R,
-		func(r int) []byte {
-			total := 0
-			for _, c := range chunks[r] {
-				total += len(c)
-			}
-			enc := make([]byte, 0, total)
-			for _, c := range chunks[r] {
-				enc = append(enc, c...)
-			}
-			return enc
-		})
+		func(r int) []byte { return concatChunks(chunks[r]) })
 	outBytes := out.File.Size()
 	node.Compute(p, engine.Dur(float64(outBytes), costs.SerializeNsPerByte), engine.PhaseMapFn)
 	rt.Counters.Add(engine.CtrMapWrittenBytes, float64(outBytes))
@@ -76,16 +66,13 @@ func runMapTask(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *engine
 		toNode := rt.ReducerNode(r).ID
 		var leftover []byte
 		for i, c := range chunks[r] {
-			if leftover == nil && channels[r].TryPush(p, node.ID, toNode, b.Index, i, c) {
-				// Delivered counts gate what a re-execution regenerates: a
-				// recovered output serves only the undelivered tail.
-				out.Delivered[r] = i + 1
-				continue
+			if !channels[r].TryPush(p, node.ID, toNode, b.Index, i, c) {
+				leftover = concatChunks(chunks[r][i:])
+				break
 			}
-			if leftover == nil {
-				leftover = make([]byte, 0, int64(len(chunks[r])-i)*opts.ChunkBytes)
-			}
-			leftover = append(leftover, c...)
+			// Delivered counts gate what a re-execution regenerates: a
+			// recovered output serves only the undelivered tail.
+			out.Delivered[r] = i + 1
 		}
 		if leftover == nil {
 			out.Pushed[r] = true
@@ -126,19 +113,22 @@ func buildMapChunks(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *en
 	auditing := rt.Auditing()
 	var finalPairBytes int64
 	// The plain partitioning scan copies the whole record stream through, so
-	// nearly every chunk fills to ChunkBytes and exact sizing avoids the
-	// doubling reallocations; combined output is usually far below one chunk
-	// per partition, so it keeps plain append growth.
-	var chunkPrealloc int64
-	if !mapCombined {
-		chunkPrealloc = opts.ChunkBytes + 1<<10
-	}
+	// each partition's encoded volume is known before its first chunk opens
+	// (pending holds what is still to come). A chunk is preallocated at
+	// min(ChunkBytes+1 KB, pending): room for a full chunk, which overshoots
+	// ChunkBytes by its last pair, or exactly a partition's short tail.
+	// Combined output comes from flush sweeps of unknown volume, so it keeps
+	// plain append growth (pending stays nil).
+	var pending []int64
 	addPair := func(r int, key, val []byte) {
 		if auditing {
 			finalPairBytes += int64(len(key) + len(val))
 		}
-		if cur[r] == nil && chunkPrealloc > 0 {
-			cur[r] = make([]byte, 0, chunkPrealloc)
+		if pending != nil {
+			if cur[r] == nil {
+				cur[r] = make([]byte, 0, min(opts.ChunkBytes+1<<10, pending[r]))
+			}
+			pending[r] -= int64(kv.EncodedSize(key, val))
 		}
 		cur[r] = kv.AppendPair(cur[r], key, val)
 		if int64(len(cur[r])) >= opts.ChunkBytes {
@@ -197,6 +187,10 @@ func buildMapChunks(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *en
 			flushTables()
 		} else {
 			// Option (1): single partitioning scan, no grouping at all.
+			pending = make([]int64, R)
+			for i := 0; i < buf.Len(); i++ {
+				pending[buf.Partition(i)] += int64(kv.EncodedSize(buf.Key(i), buf.Val(i)))
+			}
 			for i := 0; i < buf.Len(); i++ {
 				addPair(buf.Partition(i), buf.Key(i), buf.Val(i))
 			}
@@ -247,19 +241,8 @@ func reexecMapOutput(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *e
 			if lost.WasPushed(r) {
 				return nil
 			}
-			skip := lost.Delivered[r]
-			if skip > len(chunks[r]) {
-				skip = len(chunks[r])
-			}
-			total := 0
-			for _, c := range chunks[r][skip:] {
-				total += len(c)
-			}
-			enc := make([]byte, 0, total)
-			for _, c := range chunks[r][skip:] {
-				enc = append(enc, c...)
-			}
-			return enc
+			skip := min(lost.Delivered[r], len(chunks[r]))
+			return concatChunks(chunks[r][skip:])
 		})
 	node.Compute(p, engine.Dur(float64(fresh.File.Size()), costs.SerializeNsPerByte), engine.PhaseMapFn)
 	// Chunks delivered before the failure stay delivered; the pull fetch of
@@ -267,6 +250,19 @@ func reexecMapOutput(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *e
 	fresh.Pushed = append([]bool(nil), lost.Pushed...)
 	fresh.Delivered = append([]int(nil), lost.Delivered...)
 	return fresh
+}
+
+// concatChunks joins chunks into one buffer sized to their total length.
+func concatChunks(chunks [][]byte) []byte {
+	total := 0
+	for _, c := range chunks {
+		total += len(c)
+	}
+	enc := make([]byte, 0, total)
+	for _, c := range chunks {
+		enc = append(enc, c...)
+	}
+	return enc
 }
 
 // hashAtShared returns hash family member i from hashlib's immutable

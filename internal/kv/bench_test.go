@@ -26,6 +26,7 @@ func BenchmarkBufferSort64K(b *testing.B) {
 	for i := range keys {
 		keys[i] = []byte(fmt.Sprintf("u%07d", rng.Intn(1<<20)))
 	}
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		buf := NewBuffer(1 << 20)

@@ -36,20 +36,6 @@ func BenchmarkTableGet(b *testing.B) {
 	}
 }
 
-func BenchmarkListStoreAppend(b *testing.B) {
-	s := NewListStore(NewArena(0))
-	ids := make([]ListID, 1024)
-	for i := range ids {
-		ids[i] = s.NewList()
-	}
-	rec := []byte("869769600 /en/page/1234")
-	b.SetBytes(int64(len(rec)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Append(ids[i&1023], rec)
-	}
-}
-
 func BenchmarkArenaCopy(b *testing.B) {
 	a := NewArena(0)
 	payload := make([]byte, 48)

@@ -15,7 +15,7 @@ func newTable(cap int) *Table {
 
 func TestArenaAllocAndCopy(t *testing.T) {
 	a := NewArena(128)
-	b1 := a.Alloc(10)
+	b1 := a.alloc(10)
 	if len(b1) != 10 {
 		t.Fatalf("len = %d", len(b1))
 	}
@@ -28,14 +28,14 @@ func TestArenaAllocAndCopy(t *testing.T) {
 	if a.Used() != 15 {
 		t.Fatalf("used = %d", a.Used())
 	}
-	if a.Copy(nil) != nil || a.Alloc(0) != nil {
+	if a.Copy(nil) != nil || a.alloc(0) != nil {
 		t.Fatal("empty alloc should be nil")
 	}
 }
 
 func TestArenaOversizedAllocation(t *testing.T) {
 	a := NewArena(64)
-	big := a.Alloc(1000)
+	big := a.alloc(1000)
 	if len(big) != 1000 {
 		t.Fatalf("len = %d", len(big))
 	}
@@ -46,8 +46,8 @@ func TestArenaOversizedAllocation(t *testing.T) {
 
 func TestArenaAllocationsDoNotOverlap(t *testing.T) {
 	a := NewArena(64)
-	x := a.Alloc(10)
-	y := a.Alloc(10)
+	x := a.alloc(10)
+	y := a.alloc(10)
 	for i := range x {
 		x[i] = 1
 	}
@@ -70,10 +70,70 @@ func TestArenaAllocationsDoNotOverlap(t *testing.T) {
 
 func TestArenaReset(t *testing.T) {
 	a := NewArena(64)
-	a.Alloc(100)
+	a.alloc(100)
 	a.Reset()
 	if a.Used() != 0 || a.Footprint() != 0 {
 		t.Fatal("reset must clear accounting")
+	}
+}
+
+// A default arena holding a few bytes must not reserve a full slab: the
+// map-side combiner keeps one arena per partition per task.
+func TestArenaFootprintFollowsData(t *testing.T) {
+	a := NewArena(0)
+	a.Copy([]byte("0123456789"))
+	if fp := a.Footprint(); fp > 4<<10 {
+		t.Fatalf("footprint after a 10-byte copy = %d, want <= 4096", fp)
+	}
+	payload := make([]byte, 10)
+	for a.Used() < 100<<10 {
+		a.Copy(payload)
+	}
+	if fp, used := a.Footprint(), a.Used(); fp > 2*used+minSlabSize {
+		t.Fatalf("footprint %d for %d used bytes: slabs must grow geometrically", fp, used)
+	}
+}
+
+// Reset leaves slab bytes alone (no memclr per flush), and a refill over the
+// stale bytes still returns exact copies.
+func TestArenaResetRecyclesWithoutZeroing(t *testing.T) {
+	a := NewArena(0)
+	old := []byte("stale-bytes-stale-bytes")
+	stale := a.Copy(old)
+	fp := a.Footprint()
+	a.Reset()
+	if !bytes.Equal(stale, old) {
+		t.Fatalf("Reset rewrote slab bytes: %q", stale)
+	}
+	var srcs, copies [][]byte
+	for i := 0; i < 20; i++ {
+		src := []byte(fmt.Sprintf("k%d", i))
+		srcs = append(srcs, src)
+		copies = append(copies, a.Copy(src))
+	}
+	for i := range srcs {
+		if !bytes.Equal(copies[i], srcs[i]) {
+			t.Fatalf("copy %d = %q, want %q", i, copies[i], srcs[i])
+		}
+	}
+	if a.Footprint() != fp {
+		t.Fatalf("refill footprint = %d, want the recycled %d", a.Footprint(), fp)
+	}
+}
+
+// A request larger than the next doubled slab gets a slab that fits it, and
+// a recycled slab too small for a request is skipped, not overrun.
+func TestArenaLargeRequestAfterReset(t *testing.T) {
+	a := NewArena(0)
+	a.Copy([]byte("x"))
+	a.Reset()
+	big := bytes.Repeat([]byte("ab"), 1500)
+	c := a.Copy(big)
+	if !bytes.Equal(c, big) {
+		t.Fatal("large copy corrupted")
+	}
+	if fp := a.Footprint(); fp < int64(len(big)) || fp > 8<<10 {
+		t.Fatalf("footprint = %d for a %d-byte copy", fp, len(big))
 	}
 }
 
@@ -253,149 +313,6 @@ func TestTableModelProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestListStoreAppendIterate(t *testing.T) {
-	s := NewListStore(NewArena(0))
-	l := s.NewList()
-	recs := [][]byte{[]byte("one"), []byte("two"), []byte("three")}
-	for _, r := range recs {
-		s.Append(l, r)
-	}
-	got := s.Records(l)
-	if len(got) != 3 {
-		t.Fatalf("records = %d", len(got))
-	}
-	for i := range recs {
-		if !bytes.Equal(got[i], recs[i]) {
-			t.Fatalf("rec %d = %q", i, got[i])
-		}
-	}
-	if s.ListLen(l) != 3 {
-		t.Fatalf("len = %d", s.ListLen(l))
-	}
-	if s.ListBytes(l) != int64(len("onetwothree")) {
-		t.Fatalf("bytes = %d", s.ListBytes(l))
-	}
-}
-
-func TestListStoreManyListsIndependent(t *testing.T) {
-	s := NewListStore(NewArena(0))
-	var ids []ListID
-	for i := 0; i < 50; i++ {
-		ids = append(ids, s.NewList())
-	}
-	for round := 0; round < 20; round++ {
-		for i, id := range ids {
-			s.Append(id, []byte(fmt.Sprintf("list%d-rec%d", i, round)))
-		}
-	}
-	if s.Lists() != 50 {
-		t.Fatalf("lists = %d", s.Lists())
-	}
-	for i, id := range ids {
-		recs := s.Records(id)
-		if len(recs) != 20 {
-			t.Fatalf("list %d has %d records", i, len(recs))
-		}
-		for r, rec := range recs {
-			want := fmt.Sprintf("list%d-rec%d", i, r)
-			if string(rec) != want {
-				t.Fatalf("list %d rec %d = %q, want %q", i, r, rec, want)
-			}
-		}
-	}
-}
-
-func TestListStoreLargeRecords(t *testing.T) {
-	s := NewListStore(NewArena(0))
-	l := s.NewList()
-	big := make([]byte, 40000) // bigger than maxChunk
-	for i := range big {
-		big[i] = byte(i)
-	}
-	s.Append(l, big)
-	s.Append(l, []byte("small"))
-	recs := s.Records(l)
-	if !bytes.Equal(recs[0], big) || string(recs[1]) != "small" {
-		t.Fatal("large record round trip failed")
-	}
-}
-
-func TestListStoreEmptyList(t *testing.T) {
-	s := NewListStore(NewArena(0))
-	l := s.NewList()
-	if len(s.Records(l)) != 0 || s.ListLen(l) != 0 || s.ListBytes(l) != 0 {
-		t.Fatal("fresh list must be empty")
-	}
-}
-
-func TestListStoreIterateEarlyStop(t *testing.T) {
-	s := NewListStore(NewArena(0))
-	l := s.NewList()
-	for i := 0; i < 10; i++ {
-		s.Append(l, []byte{byte(i)})
-	}
-	n := 0
-	s.Iterate(l, func(rec []byte) bool { n++; return n < 3 })
-	if n != 3 {
-		t.Fatalf("visited %d", n)
-	}
-}
-
-func TestListStoreUsedBytes(t *testing.T) {
-	s := NewListStore(NewArena(0))
-	l := s.NewList()
-	if s.UsedBytes() != 0 {
-		t.Fatal("empty store should use no bytes")
-	}
-	s.Append(l, make([]byte, 1000))
-	if s.UsedBytes() < 1000 {
-		t.Fatalf("used = %d", s.UsedBytes())
-	}
-}
-
-// Property: any sequence of appends across interleaved lists is returned
-// exactly, in order, per list.
-func TestListStoreProperty(t *testing.T) {
-	f := func(assign []uint8, payload []byte) bool {
-		s := NewListStore(NewArena(128))
-		const nLists = 4
-		var ids [nLists]ListID
-		for i := range ids {
-			ids[i] = s.NewList()
-		}
-		model := make([][][]byte, nLists)
-		for i, a := range assign {
-			l := int(a) % nLists
-			end := i + 5
-			if end > len(payload) {
-				end = len(payload)
-			}
-			start := i
-			if start > len(payload) {
-				start = len(payload)
-			}
-			rec := payload[start:end]
-			s.Append(ids[l], rec)
-			model[l] = append(model[l], append([]byte(nil), rec...))
-		}
-		for l := 0; l < nLists; l++ {
-			got := s.Records(ids[l])
-			if len(got) != len(model[l]) {
-				return false
-			}
-			for i := range got {
-				if !bytes.Equal(got[i], model[l][i]) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -6,7 +6,7 @@ import (
 
 // Table is an open-addressing (linear probing) hash table from byte-string
 // keys to a caller-defined uint64 value — a counter, a packed pair, or an
-// id into a ListStore. Keys are copied into the arena once on first insert.
+// index into caller-side state. Keys are copied into the arena once on first insert.
 // Deletion uses tombstones so the hot-key engine can evict cold keys.
 type Table struct {
 	h     *hashlib.Func
